@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 
@@ -27,6 +28,13 @@ std::string
 num(std::uint64_t v)
 {
     return std::to_string(v);
+}
+
+std::uint64_t
+microsBetween(Clock::time_point from, Clock::time_point to)
+{
+    return static_cast<std::uint64_t>(std::llround(
+        std::chrono::duration<double, std::micro>(to - from).count()));
 }
 
 std::string
@@ -462,10 +470,13 @@ Daemon::statsMessage()
         m["jobs"] = num(_stats.jobs);
         m["dedup_joins"] = num(_stats.dedupJoins);
         m["bad_requests"] = num(_stats.badRequests);
+        m["queue_wait_us"] = num(_stats.queueWaitUs);
+        m["run_us"] = num(_stats.runUs);
     }
     VerificationService::Stats ss = _service->stats();
     m["full_hits"] = num(ss.fullHits);
     m["cone_hits"] = num(ss.coneHits);
+    m["key_memo_hits"] = num(ss.keyMemoHits);
     m["misses"] = num(ss.misses);
     m["stored"] = num(ss.stored);
     formal::GraphCache::Stats cs = _service->graphCache().stats();
@@ -512,9 +523,18 @@ Daemon::submitJob(const Message &request)
             ++_stats.jobs;
     }
 
+    const Clock::time_point submitted = Clock::now();
     bool queued =
-        !stopping && _pool->submit([this, key, request, job] {
+        !stopping &&
+        _pool->submit([this, key, request, job, submitted] {
+            const Clock::time_point started = Clock::now();
             Message result = runJob(request);
+            const Clock::time_point ended = Clock::now();
+            {
+                std::lock_guard<std::mutex> lock(_mutex);
+                _stats.queueWaitUs += microsBetween(submitted, started);
+                _stats.runUs += microsBetween(started, ended);
+            }
             {
                 std::lock_guard<std::mutex> lock(_jobsMutex);
                 _inflight.erase(key);

@@ -66,6 +66,10 @@ class Daemon
         std::uint64_t dedupJoins = 0; ///< requests served by joining
                                       ///< an in-flight job
         std::uint64_t badRequests = 0;
+        /** Summed over finished jobs: submit to task start (the
+         *  WorkPool hop), and task start to end (runJob). */
+        std::uint64_t queueWaitUs = 0;
+        std::uint64_t runUs = 0;
     };
 
     explicit Daemon(const DaemonConfig &config);

@@ -14,6 +14,22 @@
  *    re-verification). Only on a miss does verifyPrepared() run —
  *    and its result is published for the next process.
  *
+ *  - Request keys. The first time a request is prepared, the service
+ *    remembers its verdict keys under its RequestKey
+ *    (verdict_serial.hh). A repeat of that request goes straight to
+ *    the store under the remembered keys and skips prepare and key
+ *    derivation; it reports generationSeconds = 0. Only the keys are
+ *    remembered, never a verdict or a prepared design: the store
+ *    stays the only source of verdict bytes, and every served
+ *    verdict still passes its checksum. When neither key is in the
+ *    store (deleted, corrupt, or never written because verification
+ *    threw), the request takes the full path. Requests with a
+ *    designPatch, and services without a store, bypass the table.
+ *    It has no eviction: entries are bounded by the distinct
+ *    requests a process makes (for rtlcheckd, the suite tests ×
+ *    models × designs × configs × engines it accepts), each a test
+ *    copy plus a few words.
+ *
  *  - State graphs. The service installs GraphCache spill hooks, so
  *    explorations that do happen (different config, witness replay,
  *    cone-changed tests) are themselves persisted and reloaded
@@ -33,12 +49,15 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "formal/graph_cache.hh"
 #include "rtlcheck/runner.hh"
 #include "service/artifact_store.hh"
+#include "service/verdict_serial.hh"
 
 namespace rtlcheck::service {
 
@@ -65,6 +84,9 @@ class VerificationService
         std::size_t coneHits = 0; ///< served via the cone key
         std::size_t misses = 0;   ///< verified from scratch
         std::size_t stored = 0;   ///< verdict artifacts written
+        /** Of the hits above, those served under remembered request
+         *  keys, without prepare. */
+        std::size_t keyMemoHits = 0;
     };
 
     explicit VerificationService(const ServiceConfig &config);
@@ -92,11 +114,24 @@ class VerificationService
     formal::GraphCache &graphCache() { return _cache; }
 
   private:
+    /** The verdict stored under `keys`, marked served and counted as
+     *  a hit (a key-table hit too when `fromKeyTable`): the full key
+     *  first, then the cone key when coneReuse is on and the stored
+     *  verdict is coneReusable. nullopt when neither is stored. */
+    std::optional<core::TestRun> serveStored(const VerdictKeys &keys,
+                                             bool fromKeyTable);
+
     ServiceConfig _config;
     std::unique_ptr<ArtifactStore> _store;
     formal::GraphCache _cache;
     mutable std::mutex _mutex; ///< guards _stats
     Stats _stats;
+    std::mutex _keysMutex; ///< guards _requestKeys
+    /** nullopt until the request's first prepare derives its keys.
+     *  Entries are never erased, so references to them stay valid. */
+    std::unordered_map<RequestKey, std::optional<VerdictKeys>,
+                       RequestKeyHash>
+        _requestKeys;
 };
 
 } // namespace rtlcheck::service

@@ -11,10 +11,9 @@ namespace {
 std::uint64_t
 hashString(std::uint64_t h, const std::string &s)
 {
-    h = hashCombine(h, s.size());
-    for (char c : s)
-        h = hashCombine(h, static_cast<std::uint8_t>(c));
-    return h;
+    return hashCombine(
+        h, hashBytes(reinterpret_cast<const std::uint8_t *>(s.data()),
+                     s.size()));
 }
 
 /** Engine-config fields that can change the stored result. Display
@@ -79,7 +78,73 @@ artifactDigest(const core::PreparedTest &prep)
     return h;
 }
 
+std::uint64_t
+exprDigest(std::uint64_t h, const uspec::ExprPtr &e)
+{
+    if (!e)
+        return hashCombine(h, 0);
+    h = hashCombine(h, (static_cast<std::uint64_t>(e->kind) << 8 |
+                        static_cast<std::uint64_t>(e->domain)) +
+                           1);
+    h = hashString(h, e->name);
+    h = hashCombine(h, e->vars.size());
+    for (const std::string &v : e->vars)
+        h = hashString(h, v);
+    h = hashCombine(h, e->edges.size());
+    for (const uspec::EdgeSpec &edge : e->edges) {
+        h = hashString(h, edge.src.var);
+        h = hashString(h, edge.dst.var);
+        h = hashCombine(
+            h, (static_cast<std::uint64_t>(edge.src.stage) << 32) |
+                   static_cast<std::uint32_t>(edge.dst.stage));
+        h = hashString(h, edge.label);
+    }
+    h = hashCombine(h, e->children.size());
+    for (const uspec::ExprPtr &child : e->children)
+        h = exprDigest(h, child);
+    return h;
+}
+
+/** The model's axioms and macros, structurally: everything
+ *  generateAssertions reads from it. */
+std::uint64_t
+modelDigest(const uspec::Model &m)
+{
+    std::uint64_t h = 0x75737065636d64ull; // "uspecmd"
+    h = hashCombine(h, m.axioms.size());
+    for (const uspec::Axiom &a : m.axioms) {
+        h = hashString(h, a.name);
+        h = exprDigest(h, a.body);
+    }
+    h = hashCombine(h, m.macros.size());
+    for (const auto &[name, body] : m.macros) {
+        h = hashString(h, name);
+        h = exprDigest(h, body);
+    }
+    return h;
+}
+
 } // namespace
+
+std::size_t
+RequestKeyHash::operator()(const RequestKey &k) const
+{
+    std::uint64_t h = hashString(0x72657171ull, k.test.name); // "reqq"
+    h = hashCombine(h, k.model);
+    h = hashCombine(h, k.config);
+    return static_cast<std::size_t>(hashCombine(h, k.options));
+}
+
+std::optional<RequestKey>
+requestKeyOf(const litmus::Test &test, const uspec::Model &model,
+             const core::RunOptions &options)
+{
+    if (options.designPatch)
+        return std::nullopt;
+    return RequestKey{test, modelDigest(model),
+                      configDigest(options.config),
+                      optionsDigest(options)};
+}
 
 VerdictKeys
 verdictKeysOf(const core::PreparedTest &prep,
@@ -93,7 +158,7 @@ verdictKeysOf(const core::PreparedTest &prep,
         roots.push_back(prep.preds.signalOf(i));
     keys.coneFp = rtl::coneFingerprint(prep.design, roots).fingerprint;
 
-    std::uint64_t base = 0x766b65795e7631ull; // "vkey^v1"
+    std::uint64_t base = 0x766b65795e7632ull; // "vkey^v2"
     base = hashString(base, prep.proto.testName);
     base = hashCombine(base, configDigest(options.config));
     base = hashCombine(base, optionsDigest(options));

@@ -35,8 +35,27 @@
  * assumption digest (pins override words of the initial-state image,
  * so two runs differing only in pinned values must never alias), and
  * memory/ROM init images enter through the design and cone
- * fingerprints — closing the key-coverage gaps this subsystem's
- * issue called out.
+ * fingerprints.
+ *
+ * Strings (test names, pin memories, every property's SVA text) are
+ * hashed eight bytes at a time with hashBytes. The key tag
+ * ("vkey^v2") changes whenever the derivation does: a store written
+ * under another derivation misses and re-verifies once, as content
+ * addressing implies.
+ *
+ * ## Request keys
+ *
+ * Deriving the verdict keys needs the prepared test, which costs an
+ * SoC build and SVA generation. A RequestKey names the same verdict
+ * keys by the request's inputs instead: the litmus test (kept whole
+ * and compared with Test::operator==), a structural digest of the
+ * µspec model's axioms and macros, and the configDigest and
+ * optionsDigest the verdict keys mix in. Those are all the inputs of
+ * prepareTest and verdictKeysOf except a designPatch, which a
+ * std::function cannot key, so a patched request has no RequestKey.
+ * The service remembers the verdict keys of each request it has
+ * prepared, in process only: the binary that derived a key is the
+ * one that reuses it, so no code version needs to enter the key.
  *
  * ## Blob format
  *
@@ -75,6 +94,31 @@ struct VerdictKeys
 
 VerdictKeys verdictKeysOf(const core::PreparedTest &prep,
                           const core::RunOptions &options);
+
+/** A request as the service's key table matches it (see the file
+ *  comment). Two requests with equal RequestKeys have equal
+ *  VerdictKeys. */
+struct RequestKey
+{
+    litmus::Test test;
+    std::uint64_t model = 0;   ///< structural digest of the model
+    std::uint64_t config = 0;  ///< configDigest(options.config)
+    std::uint64_t options = 0; ///< optionsDigest(options)
+
+    bool operator==(const RequestKey &o) const = default;
+};
+
+/** Picks a RequestKey's bucket from the test name and the digests;
+ *  operator== decides a match. */
+struct RequestKeyHash
+{
+    std::size_t operator()(const RequestKey &k) const;
+};
+
+/** nullopt when `options.designPatch` is set. */
+std::optional<RequestKey> requestKeyOf(const litmus::Test &test,
+                                       const uspec::Model &model,
+                                       const core::RunOptions &options);
 
 /** A verdict as stored: the run plus its reuse class. */
 struct StoredVerdict

@@ -14,7 +14,9 @@
  * The incremental-reverification contract is tested end to end: an
  * RTL edit outside a test's predicate cone leaves the cone key
  * unchanged and is answered from the store without re-verification,
- * while an in-cone edit misses and re-verifies. The daemon is driven
+ * while an in-cone edit misses and re-verifies. One service instance
+ * answering repeats serves them under remembered request keys, with
+ * the bytes and cone keys a fresh prepare would give. The daemon is driven
  * in-process over a real AF_UNIX socket, including a stop with queued
  * jobs that must fail clients explicitly and leave zero torn store
  * entries.
@@ -48,6 +50,7 @@
 #include "service/verdict_serial.hh"
 #include "service/work_pool.hh"
 #include "uspec/multivscale.hh"
+#include "uspec/tso.hh"
 
 namespace rtlcheck {
 namespace {
@@ -518,6 +521,53 @@ TEST(VerdictKeys, MemoryInitImageEntersTheFingerprint)
     EXPECT_NE(k1.full, k0.full);
 }
 
+TEST(VerdictKeys, RequestKeysCoverEveryPrepareInput)
+{
+    const litmus::Test &mp = litmus::suiteTest("mp");
+    const uspec::Model &sc = uspec::multiVscaleModel();
+    const core::RunOptions o = explicitOptions();
+    const std::optional<service::RequestKey> k0 =
+        service::requestKeyOf(mp, sc, o);
+    ASSERT_TRUE(k0);
+    EXPECT_EQ(*k0, *service::requestKeyOf(mp, sc, o));
+    const service::RequestKeyHash hash;
+
+    // The test is compared whole, not by name.
+    litmus::Test moved = mp;
+    moved.initialMem[0] = 5;
+    const service::RequestKey kTest =
+        *service::requestKeyOf(moved, sc, o);
+    EXPECT_NE(kTest, *k0);
+    EXPECT_EQ(hash(kTest), hash(*k0)); // same bucket, still no match
+
+    // The model is digested structurally.
+    uspec::Model fewer = sc;
+    fewer.axioms.pop_back();
+    EXPECT_NE(service::requestKeyOf(mp, fewer, o)->model, k0->model);
+    EXPECT_NE(service::requestKeyOf(mp, uspec::tsoVscaleModel(), o)
+                  ->model,
+              k0->model);
+
+    core::RunOptions hybrid = o;
+    hybrid.config = formal::hybridConfig();
+    EXPECT_NE(service::requestKeyOf(mp, sc, hybrid)->config,
+              k0->config);
+    core::RunOptions buggy = o;
+    buggy.variant = vscale::MemoryVariant::Buggy;
+    EXPECT_NE(service::requestKeyOf(mp, sc, buggy)->options,
+              k0->options);
+
+    // Lane counts never change a verdict, so they share an entry.
+    core::RunOptions wide = o;
+    wide.config.jobs = 4;
+    EXPECT_EQ(*service::requestKeyOf(mp, sc, wide), *k0);
+
+    // A designPatch cannot be keyed.
+    core::RunOptions patched = o;
+    patched.designPatch = [](rtl::Design &) {};
+    EXPECT_FALSE(service::requestKeyOf(mp, sc, patched));
+}
+
 // ---------------------------------------------------------------
 // VerificationService: warm hits and cone-incremental reuse
 // ---------------------------------------------------------------
@@ -725,6 +775,210 @@ TEST(VerificationService, SuiteWarmRunServesEverythingIdentically)
     for (std::size_t i = 0; i < tests.size(); ++i) {
         EXPECT_TRUE(warmRun.runs[i].servedFromStore);
         expectSameVerdict(coldRun.runs[i], warmRun.runs[i]);
+    }
+}
+
+// ---------------------------------------------------------------
+// One service answering repeats: the request-key table
+// ---------------------------------------------------------------
+
+/** serializeVerdict bytes of a run with every timing field zeroed:
+ *  what two answers to one request must agree on byte for byte. */
+std::vector<std::uint8_t>
+verdictBytesWithoutTimings(core::TestRun run)
+{
+    run.generationSeconds = 0.0;
+    run.totalSeconds = 0.0;
+    run.verify.exploreSeconds = 0.0;
+    run.verify.checkSeconds = 0.0;
+    for (formal::PropertyResult &p : run.verify.properties) {
+        p.checkSeconds = 0.0;
+        p.earlyFalsifySeconds = 0.0;
+    }
+    service::StoredVerdict sv;
+    sv.run = std::move(run);
+    return service::serializeVerdict(sv);
+}
+
+TEST(ServiceReuse, AllDaemonKeysRepeatFromTheKeyTable)
+{
+    TempDir dir;
+    service::ServiceConfig config;
+    config.storeDir = dir.path;
+    const uspec::Model &model = uspec::multiVscaleModel();
+
+    // rtlcheckd's explicit-engine request space on the SC model:
+    // paper + fence tests x {fixed, buggy} x {Full_Proof, Hybrid},
+    // each decoded as the daemon decodes it (single-lane jobs).
+    struct Request
+    {
+        const litmus::Test *test;
+        core::RunOptions options;
+    };
+    std::vector<Request> requests;
+    for (const auto *suite :
+         {&litmus::standardSuite(), &litmus::fenceSuite()})
+        for (const litmus::Test &t : *suite)
+            for (vscale::MemoryVariant v :
+                 {vscale::MemoryVariant::Fixed,
+                  vscale::MemoryVariant::Buggy})
+                for (bool hybrid : {false, true}) {
+                    core::RunOptions o;
+                    o.variant = v;
+                    o.config = hybrid ? formal::hybridConfig()
+                                      : formal::fullProofConfig();
+                    o.config.jobs = 1;
+                    requests.push_back({&t, o});
+                }
+    ASSERT_EQ(requests.size(), 244u);
+
+    service::VerificationService svc(config);
+    for (const Request &r : requests)
+        (void)svc.runTest(*r.test, model, r.options);
+    const service::VerificationService::Stats cold = svc.stats();
+    EXPECT_EQ(cold.misses, requests.size());
+    EXPECT_EQ(cold.keyMemoHits, 0u);
+    const std::size_t explores = svc.graphCache().stats().explores;
+
+    std::vector<core::TestRun> repeat;
+    for (const Request &r : requests)
+        repeat.push_back(svc.runTest(*r.test, model, r.options));
+    const service::VerificationService::Stats warm = svc.stats();
+    EXPECT_EQ(warm.keyMemoHits, requests.size());
+    EXPECT_EQ(warm.fullHits, requests.size());
+    EXPECT_EQ(warm.misses, cold.misses);
+    EXPECT_EQ(svc.graphCache().stats().explores, explores);
+
+    // A fresh service on the same store answers through prepare and
+    // recomputed keys; the table must have led to the same bytes,
+    // and to the cone key a prepare derives today.
+    service::VerificationService fresh(config);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Request &r = requests[i];
+        const core::TestRun &run = repeat[i];
+        EXPECT_TRUE(run.servedFromStore) << r.test->name;
+        EXPECT_EQ(run.generationSeconds, 0.0);
+        EXPECT_EQ(verdictBytesWithoutTimings(run),
+                  verdictBytesWithoutTimings(
+                      fresh.runTest(*r.test, model, r.options)))
+            << r.test->name;
+        EXPECT_EQ(run.coneKey,
+                  service::verdictKeysOf(
+                      core::prepareTest(*r.test, model, r.options),
+                      r.options)
+                      .cone)
+            << r.test->name;
+    }
+    EXPECT_EQ(fresh.stats().keyMemoHits, 0u);
+    EXPECT_EQ(fresh.stats().misses, 0u);
+}
+
+TEST(ServiceReuse, PatchedRequestsBypassTheKeyTable)
+{
+    std::optional<rtl::Mutation> outside = findNodeMutation(false);
+    std::optional<rtl::Mutation> inside = findNodeMutation(true);
+    ASSERT_TRUE(outside && inside) << "no mutation sites found";
+
+    TempDir dir;
+    service::ServiceConfig config;
+    config.storeDir = dir.path;
+    const litmus::Test &mp = litmus::suiteTest("mp");
+    const uspec::Model &model = uspec::multiVscaleModel();
+    const core::RunOptions o = unboundedOptions();
+    auto edited = [&](const rtl::Mutation &m) {
+        core::RunOptions e = o;
+        e.designPatch = [m](rtl::Design &d) {
+            d = rtl::applyMutation(d, m);
+        };
+        return e;
+    };
+
+    service::VerificationService svc(config);
+    const core::TestRun cold = svc.runTest(mp, model, o);
+    ASSERT_TRUE(cold.verified());
+
+    // An out-of-cone edit is a cone hit under the edited design's
+    // own keys, not a table hit under the unpatched request's.
+    const core::RunOptions out = edited(*outside);
+    const service::VerdictKeys kOut = service::verdictKeysOf(
+        core::prepareTest(mp, model, out), out);
+    core::TestRun run = svc.runTest(mp, model, out);
+    EXPECT_TRUE(run.servedFromStore);
+    EXPECT_EQ(run.coneKey, kOut.cone);
+    EXPECT_EQ(svc.stats().coneHits, 1u);
+    EXPECT_EQ(svc.stats().fullHits, 0u);
+    EXPECT_EQ(svc.stats().keyMemoHits, 0u);
+    expectSameVerdict(cold, run);
+
+    // An in-cone edit on the same instance misses and re-verifies.
+    const core::RunOptions in = edited(*inside);
+    run = svc.runTest(mp, model, in);
+    EXPECT_FALSE(run.servedFromStore);
+    EXPECT_EQ(svc.stats().misses, 2u);
+    EXPECT_EQ(svc.stats().keyMemoHits, 0u);
+    expectSameVerdict(core::runTest(mp, model, in), run);
+
+    // The unpatched request still repeats from its own entry.
+    run = svc.runTest(mp, model, o);
+    EXPECT_TRUE(run.servedFromStore);
+    EXPECT_EQ(svc.stats().fullHits, 1u);
+    EXPECT_EQ(svc.stats().keyMemoHits, 1u);
+    expectSameVerdict(cold, run);
+}
+
+TEST(ServiceReuse, DeletedVerdictFallsThroughAndReVerifies)
+{
+    TempDir dir;
+    service::ServiceConfig config;
+    config.storeDir = dir.path;
+    const litmus::Test &mp = litmus::suiteTest("mp");
+    const uspec::Model &model = uspec::multiVscaleModel();
+    const core::RunOptions o = explicitOptions();
+
+    service::VerificationService svc(config);
+    const core::TestRun cold = svc.runTest(mp, model, o);
+    ASSERT_TRUE(svc.runTest(mp, model, o).servedFromStore);
+    ASSERT_EQ(svc.stats().keyMemoHits, 1u);
+
+    // Full_Proof is not cone-eligible: the full key is the only copy.
+    const service::VerdictKeys keys =
+        service::verdictKeysOf(core::prepareTest(mp, model, o), o);
+    ASSERT_FALSE(keys.coneEligible);
+    ASSERT_EQ(::unlink(artifactPath(dir, "verdict", keys.full).c_str()),
+              0);
+
+    const core::TestRun again = svc.runTest(mp, model, o);
+    EXPECT_FALSE(again.servedFromStore);
+    EXPECT_EQ(svc.stats().misses, 2u);
+    EXPECT_EQ(svc.stats().keyMemoHits, 1u);
+    expectSameVerdict(cold, again);
+    EXPECT_EQ(cold.verify.graphNodes, again.verify.graphNodes);
+
+    // The re-verified verdict was published again.
+    EXPECT_TRUE(svc.runTest(mp, model, o).servedFromStore);
+    EXPECT_EQ(svc.stats().keyMemoHits, 2u);
+}
+
+TEST(ServiceReuse, ParallelSuitePassesShareTheKeyTable)
+{
+    TempDir dir;
+    service::ServiceConfig config;
+    config.storeDir = dir.path;
+    const uspec::Model &model = uspec::multiVscaleModel();
+    const core::RunOptions o = explicitOptions();
+    const std::vector<litmus::Test> &tests = litmus::standardSuite();
+
+    service::VerificationService svc(config);
+    const core::SuiteRun first = svc.runSuite(tests, model, o, 4);
+    const core::SuiteRun second = svc.runSuite(tests, model, o, 4);
+    EXPECT_EQ(svc.stats().misses, tests.size());
+    EXPECT_EQ(svc.stats().fullHits, tests.size());
+    EXPECT_EQ(svc.stats().keyMemoHits, tests.size());
+    ASSERT_EQ(second.runs.size(), tests.size());
+    for (std::size_t i = 0; i < tests.size(); ++i) {
+        EXPECT_TRUE(second.runs[i].servedFromStore);
+        EXPECT_EQ(second.runs[i].coneKey, first.runs[i].coneKey);
+        expectSameVerdict(first.runs[i], second.runs[i]);
     }
 }
 
@@ -1020,9 +1274,19 @@ TEST(Daemon, PingVerifyAndWarmSecondVerify)
                           "falsified", "cover", "props", "cone_key"})
         EXPECT_EQ((*first)[k], (*second)[k]) << k;
 
+    // The repeat skipped prepare; the stats reply splits job time
+    // into the pool hop and the run itself.
+    auto stats = c->request({{"cmd", "stats"}});
+    ASSERT_TRUE(stats);
+    EXPECT_EQ((*stats)["key_memo_hits"], "1");
+    ASSERT_EQ(stats->count("queue_wait_us"), 1u);
+    ASSERT_EQ(stats->count("run_us"), 1u);
+    EXPECT_GT(std::stoull((*stats)["run_us"]), 0u);
+
     service::Daemon::Stats ds = fx.daemon->stats();
     EXPECT_GE(ds.requests, 3u);
     EXPECT_GE(ds.jobs, 2u);
+    EXPECT_GT(ds.runUs, 0u);
 }
 
 TEST(Daemon, BadRequestsGetErrorsAndTheDaemonSurvives)

@@ -463,7 +463,7 @@ runAll(const CliOptions &opts)
     }
     std::printf("%d of %zu tests with violations\n", failures,
                 suite.size());
-    std::printf("jobs %zu | wall %.3f s | cpu %.3f s | speedup "
+    std::printf("jobs %zu | wall %.3f s | cpu %.3f s | utilization "
                 "%.2fx\n",
                 sr.jobs, sr.wallSeconds, cpu,
                 sr.wallSeconds > 0 ? cpu / sr.wallSeconds : 1.0);
@@ -474,8 +474,10 @@ runAll(const CliOptions &opts)
     if (svc) {
         service::VerificationService::Stats ss = svc->stats();
         std::printf("store: %zu full hits, %zu cone hits, %zu "
-                    "misses, %zu artifacts written\n",
-                    ss.fullHits, ss.coneHits, ss.misses, ss.stored);
+                    "key_memo_hits, %zu misses, %zu artifacts "
+                    "written\n",
+                    ss.fullHits, ss.coneHits, ss.keyMemoHits,
+                    ss.misses, ss.stored);
     }
     core::SatTotals st = sr.satTotals();
     if (st.solves)
